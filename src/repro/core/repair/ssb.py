@@ -86,9 +86,11 @@ class SoftwareStoreBuffer:
     def put(self, addr: int, value: int, size: int) -> None:
         data = self._bytes
         for i in range(size):
-            byte_addr = addr + i
-            data[byte_addr] = (value >> (8 * i)) & 0xFF
-            self._lines.add(byte_addr // CACHE_LINE_SIZE)
+            data[addr + i] = (value >> (8 * i)) & 0xFF
+        # An access is at most 8 bytes, so it touches at most two lines:
+        # the first byte's and the last byte's.
+        self._lines.add(addr // CACHE_LINE_SIZE)
+        self._lines.add((addr + size - 1) // CACHE_LINE_SIZE)
         self._fifo.append((addr, value, size))
         self.stats.puts += 1
 

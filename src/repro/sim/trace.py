@@ -28,17 +28,23 @@ starting there.  The generated code:
   reached, so the machine's event loop re-enters the ready heap at
   exactly the cycle the legacy loop would have.
 
-Everything the block *cannot* prove cheap — DIV (may raise), fences,
-atomics, HALT, SSB pseudo-ops, ALIAS_CHECK — is left to the legacy
-interpreter: the block ends before the slow instruction and the
-machine's trampoline performs a single ``core.step()`` for it.  The
-result is bit-identical simulation state (registers, memory, MESI
-states, stats, RNG stream, event order) at a fraction of the host time.
+Everything a block *cannot* prove cheap — DIV (may raise), fences,
+atomics, HALT, SSB pseudo-ops, ALIAS_CHECK — ends the block.  Such an
+instruction then runs as a single-instruction *micro* function: the
+repair's SSB_STORE / SSB_LOAD / SSB_ADDM / ALIAS_CHECK execute inline
+against the core's attached software store buffer (including a
+pre-emptive flush after a put), and everything else — DIV, fences,
+atomics, SSB_FLUSH, and the SSB cases that need memory or a
+misspeculation flush — performs one exact ``core.step()``.  The result
+is bit-identical simulation state (registers, memory, MESI states, SSB
+contents, stats, RNG stream, event order) at a fraction of the host
+time.
 
-Compiled blocks are cached globally, keyed by the instruction window's
-content signature plus the latency/jitter/tax parameters, so repeated
-runs (sweeps, benches, fleets) and identical thread bodies share the
-compilation cost.
+Compiled functions are cached globally, keyed by the instruction
+window's content signature plus every latency literal baked into the
+source and the jitter/tax parameters, so repeated runs (sweeps,
+benches, fleets) and identical thread bodies share the compilation
+cost.
 """
 
 from typing import List, Optional
@@ -101,6 +107,11 @@ _BRANCH_CMPS = {
 }
 
 _FAST_MEM_OPS = frozenset({Opcode.LOAD, Opcode.STORE, Opcode.ADDM})
+
+#: Ops with an inline micro body against the attached SSB.  Blocks
+#: still end before them, so block windows and leaders are unchanged.
+_SSB_MICRO_OPS = frozenset({Opcode.SSB_STORE, Opcode.SSB_LOAD,
+                            Opcode.SSB_ADDM, Opcode.ALIAS_CHECK})
 
 
 def _includable(inst: Instruction, fast_mem: bool) -> bool:
@@ -414,10 +425,149 @@ def _emit_step_tail(emit, i: int, use_jitter: bool, ind: str) -> None:
 
 def _gen_step_micro_source(i: int, use_jitter: bool) -> str:
     """Micro function that simply runs instruction ``i`` on the
-    interpreter (exact semantics for atomics, fences, SSB pseudo-ops,
-    DIV, ALIAS_CHECK — anything without an inline fast path)."""
+    interpreter (exact semantics for atomics, fences, SSB_FLUSH, DIV —
+    anything without an inline fast path)."""
     lines = ["def _m(regs, t, gb, core, dl, pages):"]
     _emit_step_tail(lines.append, i, use_jitter, "    ")
+    return "\n".join(lines)
+
+
+def _ssb_micro_ok(inst: Instruction) -> bool:
+    """Does this SSB pseudo-op / ALIAS_CHECK get an inline micro body?"""
+    op = inst.op
+    if op not in _SSB_MICRO_OPS:
+        return False
+    if not isinstance(inst.size, int) or not 1 <= inst.size <= 8:
+        return False
+    if inst.a is None:
+        return False
+    if op is Opcode.SSB_LOAD:
+        return inst.rd is not None
+    if op is Opcode.ALIAS_CHECK:
+        return True
+    return inst.b is not None
+
+
+def _gen_ssb_micro_source(insts: List[Instruction], i: int, lat_alu: int,
+                          lat_ssb_store: int, lat_ssb_load: int,
+                          lat_alias: int, pin_tax: int,
+                          use_jitter: bool) -> str:
+    """Inline micro function for SSB_STORE / SSB_LOAD / SSB_ADDM /
+    ALIAS_CHECK at index ``i``.
+
+    Mirrors ``Core._execute`` against the attached
+    ``SoftwareStoreBuffer`` (byte map, line set, FIFO log, SsbStats)
+    and updates CoreStats itself, so the return is tagged
+    ``_CLS_SELF``.  The latency is the op latency plus ``pin_tax`` (the
+    fast path only runs with an SSB attached, which is exactly when the
+    interpreter charges the tax), with the jitter drawn after the step.
+
+    Every case the fast path does not cover falls through to the exact
+    ``core.step()`` tail *before* any state is touched: no SSB attached,
+    an SSB_LOAD / SSB_ADDM that is not fully buffered (it needs
+    ``mem_read``), and an ALIAS_CHECK that hits a buffered byte (a
+    misspeculation, which flushes).  A pre-emptive flush after a put
+    runs inline: it sets ``machine.cycle`` (the HTM's event clock) but,
+    like the interpreter's SSB ops, never stamps ``directory.now``.
+    """
+    inst = insts[i]
+    op = inst.op
+    size = inst.size
+    nxt = i + 1
+    lines = ["def _m(regs, t, gb, core, dl, pages):"]
+    emit = lines.append
+    ind = "        "
+
+    def byte_addr(k: int) -> str:
+        return "a0 + %d" % k if k else "a0"
+
+    def all_buffered() -> str:
+        return " and ".join("%s in d" % byte_addr(k) for k in range(size))
+
+    def assemble() -> str:
+        return " | ".join(
+            "d[%s] << %d" % (byte_addr(k), 8 * k) if k else "d[a0]"
+            for k in range(size))
+
+    def tail(lat: int, ind: str, flushed: bool = False) -> None:
+        """Charge the latency to busy_cycles, draw jitter, return.
+
+        The latency is ``lat`` plus, when ``flushed``, the flush cost
+        ``fl`` (never negative); the advance is ``max(1, L + r)`` as in
+        the interpreter's event loop.
+        """
+        cost = "%d" % lat
+        if flushed:
+            emit(ind + "L = %d + fl" % lat)
+            cost = "L"
+        emit(ind + "st.busy_cycles += " + cost)
+        jbit = ""
+        if use_jitter:
+            emit(ind + "r = gb(2)")
+            emit(ind + "while r >= 2: r = gb(2)")
+            cost += " + r"
+            jbit = " | (r << 24)"
+        if lat < 1:
+            emit(ind + "L = " + cost)
+            cost = "(L if L > 0 else 1)"
+        emit(ind + "return ((t + %s) << 25)%s | %d"
+             % (cost, jbit, _SELF_TAG | nxt))
+
+    def put_and_tail(value: str, lat: int) -> None:
+        """``SoftwareStoreBuffer.put`` + the pre-emptive flush check."""
+        emit(ind + "v = %s" % value)
+        for k in range(size):
+            shifted = "(v >> %d)" % (8 * k) if k else "v"
+            emit(ind + "d[%s] = %s & 255" % (byte_addr(k), shifted))
+        emit(ind + "ln = s._lines")
+        emit(ind + "ln.add(a0 >> 6)")
+        if size > 1:
+            emit(ind + "ln.add((a0 + %d) >> 6)" % (size - 1))
+        emit(ind + "s._fifo.append((a0, v, %d))" % size)
+        emit(ind + "s.stats.puts += 1")
+        emit(ind + "if len(ln) >= s.preflush_lines:")
+        # The HTM's event clock reads machine.cycle; directory.now is
+        # deliberately left stale, exactly as under the interpreter.
+        emit(ind + "    core.machine.cycle = t")
+        emit(ind + "    fl = s.flush(core.core_id)")
+        emit(ind + "    st.ssb_flushes += 1")
+        tail(lat, ind + "    ", flushed=True)
+        tail(lat, ind)
+
+    emit("    s = core.ssb")
+    emit("    if s is not None:")
+    emit(ind + "a0 = %s" % _addr_expr(inst))
+    emit(ind + "d = s._bytes")
+    if op is Opcode.SSB_STORE:
+        emit(ind + "st = core.stats")
+        emit(ind + "st.instructions += 1; st.ssb_stores += 1; st.stores += 1")
+        put_and_tail(_val_expr(inst.b), lat_ssb_store + pin_tax)
+    elif op is Opcode.SSB_LOAD:
+        emit(ind + "if %s:" % all_buffered())
+        ind = ind + "    "
+        emit(ind + "regs[%d] = %s" % (inst.rd, assemble()))
+        emit(ind + "s.stats.full_hits += 1")
+        emit(ind + "st = core.stats")
+        emit(ind + "st.instructions += 1; st.ssb_loads += 1; st.loads += 1")
+        tail(lat_ssb_load + pin_tax, ind)
+    elif op is Opcode.SSB_ADDM:
+        emit(ind + "if %s:" % all_buffered())
+        ind = ind + "    "
+        emit(ind + "s.stats.full_hits += 1")
+        emit(ind + "st = core.stats")
+        emit(ind + "st.instructions += 1; st.ssb_loads += 1; "
+                   "st.ssb_stores += 1; st.loads += 1; st.stores += 1")
+        put_and_tail("((%s) + %s) & %d" % (assemble(), _val_expr(inst.b),
+                                           _WORD_MASK),
+                     lat_ssb_load + lat_ssb_store + lat_alu + pin_tax)
+    else:  # ALIAS_CHECK
+        emit(ind + "if not (%s):" % " or ".join(
+            "%s in d" % byte_addr(k) for k in range(size)))
+        ind = ind + "    "
+        emit(ind + "st = core.stats")
+        emit(ind + "st.instructions += 1; st.alias_checks += 1")
+        tail(lat_alias + pin_tax, ind)
+    _emit_step_tail(emit, i, use_jitter, "    ")
     return "\n".join(lines)
 
 
@@ -551,6 +701,19 @@ def _exec_namespace() -> dict:
     }
 
 
+def _cached(key, gen_source, name: str):
+    """The compiled function for ``key``, generating it on a miss."""
+    fn = _BLOCK_CACHE.get(key)
+    if fn is None:
+        namespace = _exec_namespace()
+        exec(compile(gen_source(), "<trace-%s>" % name, "exec"), namespace)
+        fn = namespace["_f" if name == "block" else "_m"]
+        if len(_BLOCK_CACHE) >= _CACHE_MAX:
+            _BLOCK_CACHE.clear()
+        _BLOCK_CACHE[key] = fn
+    return fn
+
+
 def _compile_window(insts: List[Instruction], entry: int, window: List[int],
                     lat_alu: int, lat_l1: int, lat_pause: int, tax: int,
                     use_jitter: bool):
@@ -563,17 +726,9 @@ def _compile_window(insts: List[Instruction], entry: int, window: List[int],
         lat_pause,
         tuple(_inst_sig(insts[i]) for i in window),
     )
-    fn = _BLOCK_CACHE.get(key)
-    if fn is None:
-        source = _gen_source(insts, entry, window, lat_alu, lat_l1,
-                             lat_pause, tax, use_jitter)
-        namespace = _exec_namespace()
-        exec(compile(source, "<trace-block>", "exec"), namespace)
-        fn = namespace["_f"]
-        if len(_BLOCK_CACHE) >= _CACHE_MAX:
-            _BLOCK_CACHE.clear()
-        _BLOCK_CACHE[key] = fn
-    return fn
+    return _cached(key, lambda: _gen_source(
+        insts, entry, window, lat_alu, lat_l1, lat_pause, tax, use_jitter,
+    ), "block")
 
 
 class CompiledTrace:
@@ -587,8 +742,8 @@ class CompiledTrace:
     """
 
     __slots__ = ("insts", "table", "micro", "leaders", "_lat_alu",
-                 "_lat_l1", "_lat_pause", "_tax", "_use_jitter",
-                 "_fast_mem")
+                 "_lat_l1", "_lat_pause", "_ssb_lats", "_tax",
+                 "_use_jitter", "_fast_mem")
 
     def __init__(self, insts: List[Instruction], latency, taxed: bool,
                  use_jitter: bool, fast_mem: bool):
@@ -605,6 +760,10 @@ class CompiledTrace:
         self._lat_alu = latency.alu
         self._lat_l1 = latency.l1_hit
         self._lat_pause = latency.pause
+        #: Literals baked into the SSB micro bodies (all in their cache
+        #: key, so latency models never share a function wrongly).
+        self._ssb_lats = (latency.alu, latency.ssb_store, latency.ssb_load,
+                          latency.alias_check, latency.pin_tax)
         self._tax = latency.pin_tax if taxed else 0
         self._use_jitter = use_jitter
         self._fast_mem = fast_mem
@@ -649,41 +808,34 @@ class CompiledTrace:
 
         Every instruction gets a micro function except HALT (the
         scheduler's legacy pop handles the ready-queue removal): inline
-        ops compile to fast bodies, everything else to an exact
-        ``core.step()`` call — so micro chains flow through slow
-        instructions without returning to the scheduler.
+        ops and the SSB pseudo-ops compile to fast bodies, everything
+        else to an exact ``core.step()`` call — so micro chains flow
+        through slow instructions without returning to the scheduler.
         """
         inst = self.insts[i]
         if inst.op is Opcode.HALT:
             fn = None
+        elif _ssb_micro_ok(inst):
+            # Independent of the tax variant: the body charges pin_tax
+            # itself, and only runs with an SSB attached.
+            key = ("mssb", i, self._use_jitter, self._ssb_lats,
+                   _inst_sig(inst))
+            fn = _cached(key, lambda: _gen_ssb_micro_source(
+                self.insts, i, *self._ssb_lats, self._use_jitter,
+            ), "micro")
         elif _includable(inst, self._fast_mem):
             key = ("m", i, self._tax, self._use_jitter, self._lat_alu,
                    self._lat_l1, self._lat_pause, _inst_sig(inst))
-            fn = _BLOCK_CACHE.get(key)
-            if fn is None:
-                source = _gen_micro_source(
-                    self.insts, i, self._lat_alu, self._lat_l1,
-                    self._lat_pause, self._tax, self._use_jitter,
-                )
-                namespace = _exec_namespace()
-                exec(compile(source, "<trace-micro>", "exec"), namespace)
-                fn = namespace["_m"]
-                if len(_BLOCK_CACHE) >= _CACHE_MAX:
-                    _BLOCK_CACHE.clear()
-                _BLOCK_CACHE[key] = fn
+            fn = _cached(key, lambda: _gen_micro_source(
+                self.insts, i, self._lat_alu, self._lat_l1,
+                self._lat_pause, self._tax, self._use_jitter,
+            ), "micro")
         else:
             # Interpreter-exact micro: the source depends only on the
             # index and jitter flag, so one cache entry serves every
             # slow opcode at this index across traces and tax variants.
             key = ("ms", i, self._use_jitter)
-            fn = _BLOCK_CACHE.get(key)
-            if fn is None:
-                source = _gen_step_micro_source(i, self._use_jitter)
-                namespace = _exec_namespace()
-                exec(compile(source, "<trace-micro>", "exec"), namespace)
-                fn = namespace["_m"]
-                if len(_BLOCK_CACHE) >= _CACHE_MAX:
-                    _BLOCK_CACHE.clear()
-                _BLOCK_CACHE[key] = fn
+            fn = _cached(key, lambda: _gen_step_micro_source(
+                i, self._use_jitter), "micro")
         self.micro[i] = fn
         return fn

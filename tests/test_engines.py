@@ -97,6 +97,273 @@ def test_config_rejects_unknown_engines():
 
 
 # ----------------------------------------------------------------------
+# SSB pseudo-ops in the trace engine: differential + routing guards
+# ----------------------------------------------------------------------
+
+def _sim_state(machine, buffers, tracer) -> dict:
+    """Every simulator observable an SSB fast path could perturb."""
+    return {
+        "cycles": machine.cycle,
+        "core_stats": [{k: getattr(c.stats, k) for k in c.stats.__slots__}
+                       for c in machine.cores],
+        "ssb_stats": sorted(
+            (b.core_id, [getattr(b.stats, k) for k in b.stats.__slots__])
+            for b in buffers),
+        "registers": [list(c.registers) for c in machine.cores],
+        "pages": {i: bytes(p) for i, p in machine.memory._pages.items()},
+        "lines": {line: {c: s.name for c, s in states.items()}
+                  for line, states in machine.directory._lines.items()},
+        "trace_jsonl": tracer.to_jsonl(),
+    }
+
+
+def _laser_state(result) -> dict:
+    from repro.core.services.context import ssb_buffers
+
+    extra = (result.resilience.detached_buffers
+             if result.resilience is not None else ())
+    buffers = ssb_buffers(result.machine, result.repair_plan, extra)
+    return _sim_state(result.machine, buffers, result.telemetry.tracer)
+
+
+def _check_every_store(monkeypatch):
+    """Guard every store/ADDM in a repair region with an ALIAS_CHECK on
+    its own address, so checks hit buffered bytes and misspeculate."""
+    from repro.core.repair import analysis
+    from repro.isa.instructions import Opcode
+
+    original = analysis.speculative_alias_analysis
+
+    def patched(cfg, region):
+        exempt, checks = original(cfg, region)
+        insts = cfg.code.instructions
+        for block in region:
+            for i in cfg.blocks[block].instruction_indices():
+                if insts[i].op in (Opcode.STORE, Opcode.ADDM):
+                    checks[i] = i
+        return exempt, checks
+
+    monkeypatch.setattr(analysis, "speculative_alias_analysis", patched)
+
+
+def _small_preflush(monkeypatch):
+    """Pre-emptive flush at 2 lines: flushes land mid-burst constantly."""
+    import functools
+
+    from repro.core.repair import manager
+    from repro.core.repair.ssb import SoftwareStoreBuffer
+
+    monkeypatch.setattr(manager, "SoftwareStoreBuffer", functools.partial(
+        SoftwareStoreBuffer, preflush_lines=2))
+
+
+def _sum_ssb(state, field):
+    from repro.core.repair.ssb import SsbStats
+
+    k = SsbStats.__slots__.index(field)
+    return sum(stats[k] for _cid, stats in state["ssb_stats"])
+
+
+def _sum_core(state, field):
+    return sum(stats[field] for stats in state["core_stats"])
+
+
+_SSB_EDGE_CASES = {
+    # name: (config overrides, htm.abort probability, patches, coverage)
+    "preflush": ({}, 0.0, (_small_preflush,),
+                 lambda s: _sum_core(s, "ssb_flushes") >= 100),
+    "misspeculation": ({}, 0.0, (_check_every_store,),
+                       lambda s: _sum_core(s, "alias_misspeculations") > 0),
+    "htm_abort_fallback": ({}, 1.0, (_small_preflush,),
+                           lambda s: _sum_ssb(s, "fallback_stores") > 0
+                           and _sum_core(s, "ssb_flushes") >= 100),
+    "rollback": ({"watchdog_rate_ratio": 0.0, "watchdog_windows": 1}, 0.0,
+                 (), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SSB_EDGE_CASES))
+@pytest.mark.parametrize("workload", ["histogram'", "linear_regression"])
+def test_ssb_edge_paths_are_engine_identical(workload, case, monkeypatch):
+    """interp and trace agree byte-for-byte on the SSB edge paths.
+
+    Each case drives repaired code through one path the trace engine's
+    inline SSB bodies must reproduce or hand back to the interpreter:
+    pre-emptive flushes inside a burst, ALIAS_CHECK misspeculation
+    flushes, the per-store writeback after an ``htm.abort`` storm, and
+    a repair that attaches and is rolled back mid-run.  Both workloads'
+    SSB_ADDM / SSB_LOAD also miss the buffer after every flush (the
+    not-fully-buffered hand-off).
+    """
+    from repro.core.laser import Laser
+    from repro.faults import FaultPlan
+    from repro.workloads import get_workload
+
+    overrides, abort_p, patches, covered = _SSB_EDGE_CASES[case]
+    for patch in patches:
+        patch(monkeypatch)
+    states = {}
+    for sim_engine in ("interp", "trace"):
+        faults = None
+        if abort_p:
+            faults = FaultPlan(seed=0).add("htm.abort", probability=abort_p)
+        cfg = LaserConfig().replace(seed=0, sim_engine=sim_engine,
+                                    trace_enabled=True, **overrides)
+        result = Laser(cfg, faults=faults).run_workload(
+            get_workload(workload))
+        states[sim_engine] = (_laser_state(result), result.health)
+    (want, want_health), (got, got_health) = states["interp"], states["trace"]
+    for key in want:
+        assert got[key] == want[key], "%s differs under trace" % key
+    assert got_health.as_dict() == want_health.as_dict()
+    if covered is None:
+        assert got_health.rollbacks >= 1
+    else:
+        assert covered(got), "case %r did not reach its edge path" % case
+
+
+def _ssb_torture_program(num_threads=3, iters=120):
+    """Mixed-size SSB traffic no registry workload produces.
+
+    Per iteration: a 4-byte SSB_STORE then an 8-byte SSB_LOAD of the
+    same address (partly buffered after each flush, until the ADDM
+    below refills bytes 4..7), a line-straddling SSB_STORE, an SSB_ADDM
+    walking 16 lines
+    (pre-emptive flushes), an ALIAS_CHECK that hits buffered bytes on
+    every eighth iteration, and plain traffic on a line all threads
+    share.
+    """
+    from repro.isa.assembler import Assembler
+    from repro.isa.instructions import Instruction, Opcode, Operand
+    from repro.isa.program import Program
+
+    shared = 0x10000000
+    threads = []
+    for tid in range(num_threads):
+        base = 0x10010000 + tid * 0x1000
+        asm = Assembler("t%d" % tid)
+        asm.mov("r1", base)
+        asm.mov("r2", iters)
+        asm.label("loop")
+        asm.store("r1", "r2", size=4).op = Opcode.SSB_STORE
+        asm.load("r3", "r1", size=8).op = Opcode.SSB_LOAD
+        asm.addm("r1", "r3", offset=4, size=8).op = Opcode.SSB_ADDM
+        asm.store("r1", "r3", offset=60, size=8).op = Opcode.SSB_STORE
+        asm.and_("r4", "r2", 15)
+        asm.shl("r4", "r4", 6)
+        asm.add("r4", "r4", "r1")
+        asm.addm("r4", 3, offset=128, size=2).op = Opcode.SSB_ADDM
+        asm.and_("r5", "r2", 7)
+        asm.shl("r5", "r5", 12)
+        asm.add("r5", "r5", "r1")
+        asm._emit(Instruction(Opcode.ALIAS_CHECK, a=Operand(True, 5),
+                              size=8))
+        asm.load("r6", shared, size=8)
+        asm.addm(shared + 8 * tid, "r2", size=8)
+        asm.sub("r2", "r2", 1)
+        asm.bne("r2", 0, "loop")
+        asm.fence()
+        asm.halt()
+        threads.append(asm.build())
+    return Program("ssb_torture", threads)
+
+
+@pytest.mark.parametrize("abort_p", [0.0, 0.4])
+def test_ssb_partial_buffering_is_engine_identical(abort_p):
+    """Partly buffered SSB_LOAD / SSB_ADDM, straddling puts and
+    misspeculations on a hand-built program, run in resumable slices
+    (as the service loop does) with and without an abort storm."""
+    from repro.core.repair.ssb import SoftwareStoreBuffer
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.obs.trace import EventTracer
+    from repro.sim.machine import Machine
+
+    states = {}
+    for sim_engine in ("interp", "trace"):
+        plan = FaultPlan(seed=3).add("htm.abort", probability=abort_p)
+        tracer = EventTracer()
+        machine = Machine(_ssb_torture_program(), seed=1, tracer=tracer,
+                          fault_injector=FaultInjector(plan),
+                          engine=sim_engine)
+        buffers = []
+        for core in machine.cores:
+            core.ssb = SoftwareStoreBuffer(machine, core.core_id)
+            buffers.append(core.ssb)
+        until = 0
+        while not machine.finished:
+            until += 1500
+            machine.run(until_cycle=until)
+        states[sim_engine] = _sim_state(machine, buffers, tracer)
+    want, got = states["interp"], states["trace"]
+    for key in want:
+        assert got[key] == want[key], "%s differs under trace" % key
+    assert _sum_ssb(got, "partial_hits") > 0
+    assert _sum_ssb(got, "full_hits") > 0
+    assert _sum_core(got, "alias_misspeculations") > 0
+    # Beyond the one drain per thread at its fence: pre-emptive flushes.
+    assert _sum_core(got, "ssb_flushes") > len(got["core_stats"])
+    if abort_p:
+        assert _sum_ssb(got, "fallback_stores") > 0
+
+
+def test_trace_engine_runs_ssb_ops_inline(monkeypatch):
+    """Routing guard: repaired code stays off the interpreter.
+
+    Under the trace engine SSB_STORE never takes a ``core.step()``, and
+    ALIAS_CHECK does only for a misspeculation (which flushes).
+    """
+    from collections import Counter
+
+    from repro.core.laser import Laser
+    from repro.sim.core import Core
+    from repro.workloads import get_workload
+
+    steps = Counter()
+    execute = Core._execute
+
+    def counting(self, inst):
+        steps[inst.op.name] += 1
+        return execute(self, inst)
+
+    monkeypatch.setattr(Core, "_execute", counting)
+    cfg = LaserConfig().replace(seed=0, sim_engine="trace")
+    result = Laser(cfg).run_workload(get_workload("linear_regression"))
+    assert result.repaired
+    stats = [core.stats for core in result.machine.cores]
+    assert sum(s.ssb_stores for s in stats) > 0
+    assert sum(s.alias_checks for s in stats) > 0
+    assert steps["SSB_STORE"] == 0
+    assert steps["ALIAS_CHECK"] <= sum(s.alias_misspeculations
+                                       for s in stats)
+
+
+@pytest.mark.parametrize("field", ["ssb_store", "ssb_load", "alias_check",
+                                   "pin_tax"])
+def test_ssb_micro_cache_key_covers_baked_latencies(field):
+    """Two latency models differing in one baked literal never share a
+    compiled SSB micro function; equal models do."""
+    from repro.isa.instructions import Instruction, Opcode, Operand
+    from repro.sim.timing import LatencyModel
+    from repro.sim.trace import CompiledTrace
+
+    insts = [Instruction(Opcode.SSB_STORE, a=Operand(True, 1),
+                         b=Operand(True, 2), size=8),
+             Instruction(Opcode.SSB_LOAD, rd=3, a=Operand(True, 1), size=8),
+             Instruction(Opcode.ALIAS_CHECK, a=Operand(True, 4), size=8),
+             Instruction(Opcode.HALT)]
+    base = LatencyModel()
+    bumped = LatencyModel(**{field: getattr(base, field) + 7})
+
+    def micro(latency, i):
+        return CompiledTrace(insts, latency, taxed=True, use_jitter=True,
+                             fast_mem=True).resolve_micro(i)
+
+    for i in range(3):
+        assert micro(base, i) is micro(LatencyModel(), i)
+        assert micro(base, i) is not micro(bumped, i)
+
+
+# ----------------------------------------------------------------------
 # Property tests: vectorized kernels vs their scalar twins
 # ----------------------------------------------------------------------
 

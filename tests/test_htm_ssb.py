@@ -167,3 +167,29 @@ class TestSsbBasics:
         ssb.flush(0)
         assert (machine.memory.read_bytes(base, 112)
                 == reference.memory.read_bytes(base, 112))
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 700), st.integers(0, (1 << 64) - 1),
+                  st.sampled_from([1, 2, 4, 8])),
+        min_size=1, max_size=40,
+    ), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_line_set_matches_per_byte_lines(self, stores, preflush_lines):
+        """``put`` records an access's first and last line only; for
+        accesses of at most 8 bytes (straddlers included) that is the
+        per-byte line set, so the preflush decision is unchanged."""
+        base = 0x10000000
+        machine = make_machine()
+        ssb = SoftwareStoreBuffer(machine, core_id=0,
+                                  preflush_lines=preflush_lines)
+        per_byte = set()
+        for offset, value, size in stores:
+            ssb.put(base + offset, value, size)
+            per_byte.update((base + offset + i) // 64 for i in range(size))
+            assert ssb._lines == per_byte
+            assert ssb.should_preflush() == (len(per_byte) >= preflush_lines)
+
+    def test_line_set_counts_both_lines_of_a_straddler(self):
+        _m, ssb = self._ssb()
+        ssb.put(0x10000000 + 60, 1, 8)  # bytes 60..67: lines 0 and 1
+        assert ssb._lines == {0x10000000 // 64, 0x10000000 // 64 + 1}
