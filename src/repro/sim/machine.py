@@ -27,7 +27,7 @@ from repro.sim.core import Core, CoreState
 from repro.sim.htm import HardwareTransactionalMemory
 from repro.sim.memory import Memory
 from repro.sim.timing import LatencyModel
-from repro.sim.trace import _LAZY, CompiledTrace
+from repro.sim.trace import _LAZY, CompiledTrace, run_spin_kernel
 from repro.sim.vmmap import STACK_SIZE, STACK_TOP, default_memory_map
 
 __all__ = ["Machine", "RunResult"]
@@ -128,19 +128,25 @@ class Machine:
         #: point; "interp" is the legacy per-instruction loop.  Both are
         #: bit-identical in every observable (golden-pinned).
         self.engine = resolve_sim_engine(engine)
-        # The trace engine may inline L1-hit loads/stores only when
-        # memory routing is the base machine's: execution-model
+        # The trace engine may inline L1-hit loads/stores/atomics only
+        # when memory routing is the base machine's: execution-model
         # baselines (e.g. Sheriff's diff-and-merge) override mem_read /
-        # mem_write, and every access must go through their overlays.
+        # mem_write / fence_extra, and every access and fence-like op
+        # must go through their overlays.
         self._fast_mem_ok = (
             type(self).mem_read is Machine.mem_read
             and type(self).mem_write is Machine.mem_write
+            and type(self).fence_extra is Machine.fence_extra
         )
         #: PMU / profiler hooks (None = free execution).
         self.on_hitm: Optional[HitmHook] = None
         self.on_memory_op: Optional[MemOpHook] = None
         #: Cycles injected into cores by hooks, for overhead accounting.
         self.injected_stall_cycles = 0
+        #: Instructions the trace engine's lock-step spin kernel ran
+        #: (an engine counter: 0 under ``interp``, so it stays outside
+        #: every golden observable).
+        self.kernel_instructions = 0
 
     # ------------------------------------------------------------------
     # Initial state helpers (used by workload setup code)
@@ -328,6 +334,16 @@ class Machine:
           their stats deferred into per-core counters flushed at slice
           boundaries (sums commute, and nothing reads core stats inside
           a slice).
+        * When the picked core and the runner-up are both *parked* in a
+          spin loop (``trace.SpinLoop``: one more iteration would be a
+          no-op), the lock-step kernel (``trace.run_spin_kernel``)
+          advances every parked core in exact ``(time, core_id)`` order
+          until the first unparked core or the slice limit is due.  A
+          parking proof holds until memory or coherence state changes,
+          which only an exact interpreter step can do (inline code needs
+          its line in M or E, so no spinner holds it): every
+          ``_CLS_SELF`` return and legacy pop bumps ``epoch``, which
+          invalidates the cached proofs.
         """
         if not hasattr(self, "_ready"):
             self._init_ready_heap()
@@ -355,11 +371,26 @@ class Machine:
         nld = [0] * ncores
         nst = [0] * ncores
         npa = [0] * ncores
+        nat = [0] * ncores
         # Per-core dispatch state, hoisted for the slice: (table, micro,
-        # leader flags, len, registers, trace).  Safe to cache because
-        # code swaps and SSB attach/detach (``replace_code``) only
-        # happen from services, which run between slices.
+        # leader flags, len, registers, trace, spin table).  Safe to
+        # cache because code swaps and SSB attach/detach
+        # (``replace_code``) only happen from services, which run
+        # between slices.
         tstate: List = [None] * ncores
+        # Parking proofs: ``pv[cid]`` is the SpinLoop core ``cid`` was
+        # proven parked in (or None) at epoch ``pe[cid]``.  A negative
+        # proof is also dropped when its core runs.
+        epoch = 0
+        pe = [-1] * ncores
+        pv: List = [None] * ncores
+        # Kernel scratch: per parked core, its loop, body steps, start
+        # and current body position, and executed instruction count.
+        kloop: List = [None] * ncores
+        ksteps: List = [None] * ncores
+        kstart = [0] * ncores
+        kpos = [0] * ncores
+        kn = [0] * ncores
 
         def flush_stats():
             for c in cores:
@@ -371,11 +402,83 @@ class Machine:
                     st.loads += nld[i]
                     st.stores += nst[i]
                     st.pauses += npa[i]
+                    st.atomics += nat[i]
                     cnt[i] = busy[i] = nld[i] = nst[i] = npa[i] = 0
+                    nat[i] = 0
 
         def to_heap():
             self._ready = sorted(
                 (e >> shift, e & cid_mask) for e in active)
+
+        def state_of(cid):
+            core = cores[cid]
+            trace = (core._trace_taxed if core.ssb is not None
+                     else core._trace)
+            if trace is None or trace.insts is not core.instructions:
+                trace = self._trace_for(core)
+            ts = (trace.table, trace.micro, trace.leaders,
+                  len(trace.micro), core.registers, trace, trace.spin)
+            tstate[cid] = ts
+            return ts
+
+        def parked(cid, epoch):
+            """The SpinLoop core ``cid`` is parked in, or None."""
+            if pe[cid] == epoch:
+                return pv[cid]
+            core = cores[cid]
+            loop = None
+            if core.ssb is None and self.on_memory_op is None:
+                spin = (tstate[cid] or state_of(cid))[6]
+                pc = core.pc_index
+                if pc < len(spin):
+                    loop = spin[pc]
+                    if loop is not None and not loop.prove(
+                            core.registers, cid, dl, pages):
+                        loop = None
+            pe[cid] = epoch
+            pv[cid] = loop
+            return loop
+
+        def spin_kernel(epoch):
+            """Run every parked core until an unparked one or the slice
+            limit is due, then fold its counts and requeue it."""
+            stop = (limit + 1) << shift
+            rest = []
+            heap = []
+            for e in active:
+                cid = e & cid_mask
+                loop = parked(cid, epoch)
+                if loop is None:
+                    rest.append(e)
+                    if e < stop:
+                        stop = e
+                else:
+                    heap.append(e)
+                    kloop[cid] = loop
+                    ksteps[cid] = loop.steps
+                    kstart[cid] = kpos[cid] = cores[cid].pc_index - loop.head
+                    kn[cid] = 0
+            heapq.heapify(heap)
+            last_read = run_spin_kernel(heap, ksteps, kpos, kn, stop, gb,
+                                        shift, use_jitter)
+            ran = 0
+            for e in heap:
+                cid = e & cid_mask
+                n = kn[cid]
+                if n:
+                    loop = kloop[cid]
+                    cores[cid].pc_index = loop.head + kpos[cid]
+                    b, ld, at, pa = loop.counts(kstart[cid], n)
+                    cnt[cid] += n
+                    busy[cid] += b
+                    nld[cid] += ld
+                    nat[cid] += at
+                    npa[cid] += pa
+                    ran += n
+            active[:] = rest + heap
+            if last_read >= 0:
+                self.directory.now = last_read >> shift
+            self.kernel_instructions += ran
 
         try:
             while active:
@@ -405,15 +508,14 @@ class Machine:
                 core = cores[core_id]
                 ts = tstate[core_id]
                 if ts is None:
-                    trace = (core._trace_taxed if core.ssb is not None
-                             else core._trace)
-                    if trace is None or trace.insts is not core.instructions:
-                        trace = self._trace_for(core)
-                    ts = (trace.table, trace.micro, trace.leaders,
-                          len(trace.micro), core.registers, trace)
-                    tstate[core_id] = ts
-                table, micro, lflags, nlen, regs, trace = ts
+                    ts = state_of(core_id)
+                table, micro, lflags, nlen, regs, trace, spin = ts
                 pc2 = core.pc_index
+                if (pc2 < nlen and spin[pc2] is not None and m2 != huge
+                        and parked(core_id, epoch) is not None
+                        and parked(m2 & cid_mask, epoch) is not None):
+                    spin_kernel(epoch)
+                    continue
                 # Largest t with ((t << shift) | core_id) < m2.
                 lb = (m2 - core_id - 1) >> shift
                 if lb > limit:
@@ -466,12 +568,18 @@ class Machine:
                             elif cls == 0x600000:
                                 nld[core_id] += 1
                                 nst[core_id] += 1
-                            else:
+                            elif cls == 0x800000:
                                 npa[core_id] += 1
+                            else:
+                                nat[core_id] += 1
+                    else:
+                        epoch += 1
                     pc2 = v & 0x1FFFFF
                     t2 = t3
                     if t2 > lb:
                         break
+                if pv[core_id] is None:
+                    pe[core_id] = -1
                 if t2 != time:
                     # Progress: requeue at the burst's end time.  (Every
                     # executed instruction advances time — latencies are
@@ -480,6 +588,7 @@ class Machine:
                     active[active.index(m1)] = (t2 << shift) | core_id
                     continue
                 self.cycle = time
+                epoch += 1
                 latency = core.step()
                 if use_jitter:
                     latency += jitter_rng.randrange(0, 2)

@@ -33,12 +33,26 @@ atomics, HALT, SSB pseudo-ops, ALIAS_CHECK — ends the block.  Such an
 instruction then runs as a single-instruction *micro* function: the
 repair's SSB_STORE / SSB_LOAD / SSB_ADDM / ALIAS_CHECK execute inline
 against the core's attached software store buffer (including a
-pre-emptive flush after a put), and everything else — DIV, fences,
-atomics, SSB_FLUSH, and the SSB cases that need memory or a
-misspeculation flush — performs one exact ``core.step()``.  The result
-is bit-identical simulation state (registers, memory, MESI states, SSB
-contents, stats, RNG stream, event order) at a fraction of the host
-time.
+pre-emptive flush after a put); CMPXCHG / XADD execute inline when they
+are L1 hits that need no coherence transition (a failed compare on any
+resident line, a success or XADD on an M/E line) and no SSB is
+attached; and everything else — DIV, fences, SSB_FLUSH, atomics that
+miss, straddle or must upgrade a Shared line, and the SSB cases that
+need memory or a misspeculation flush — performs one exact
+``core.step()``.
+
+Spin-waits get a third path.  At trace build ``_find_spin_loops``
+records the short straight-line back-edge loops that only read memory
+(through LOAD or CMPXCHG) and never rewrite a register they read.  A
+core in one is *parked* when its ``SpinLoop.prove`` shows one more
+iteration would change nothing but time; the machine then advances all
+parked cores together in ``run_spin_kernel``, instruction by
+instruction in exact scheduling order, from per-position latency
+tables.
+
+The result is bit-identical simulation state (registers, memory, MESI
+states, SSB contents, stats, RNG stream, event order) at a fraction of
+the host time.
 
 Compiled functions are cached globally, keyed by the instruction
 window's content signature plus every latency literal baked into the
@@ -47,12 +61,13 @@ benches, fleets) and identical thread bodies share the compilation
 cost.
 """
 
+import heapq
 from typing import List, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.sim.cache import LineState
 
-__all__ = ["CompiledTrace", "_LAZY"]
+__all__ = ["CompiledTrace", "SpinLoop", "run_spin_kernel", "_LAZY"]
 
 #: Sentinel marking a table entry whose block has not been compiled yet.
 _LAZY = object()
@@ -67,7 +82,7 @@ _LAZY = object()
 _MICRO_PC_BITS = 21
 _MICRO_PC_MASK = (1 << _MICRO_PC_BITS) - 1
 #: op_class values reported to the scheduler's deferred stat counters.
-_CLS_LOAD, _CLS_STORE, _CLS_LOADSTORE, _CLS_PAUSE = 1, 2, 3, 4
+_CLS_LOAD, _CLS_STORE, _CLS_LOADSTORE, _CLS_PAUSE, _CLS_ATOMIC = 1, 2, 3, 4, 5
 #: op_class 7 marks a *self-accounted* step: the micro function ran the
 #: instruction through ``core.step()`` (which updates CoreStats itself),
 #: so the scheduler must not add deferred counters for it.
@@ -170,6 +185,7 @@ def _inst_sig(inst: Instruction) -> tuple:
         inst.rd,
         _operand_sig(inst.a),
         _operand_sig(inst.b),
+        _operand_sig(inst.c),
         inst.offset,
         inst.size,
         inst.target if isinstance(inst.target, int) else None,
@@ -571,6 +587,104 @@ def _gen_ssb_micro_source(insts: List[Instruction], i: int, lat_alu: int,
     return "\n".join(lines)
 
 
+def _atomic_micro_ok(inst: Instruction, lat_l1: int, lat_atomic: int) -> bool:
+    """Does this CMPXCHG / XADD get an inline L1-hit micro body?
+
+    Latencies that could charge less than one cycle keep the exact
+    interpreter path (the inline tail has no ``max(1, ...)`` clamp).
+    """
+    op = inst.op
+    if op is not Opcode.CMPXCHG and op is not Opcode.XADD:
+        return False
+    if not isinstance(inst.size, int) or not 1 <= inst.size <= 8:
+        return False
+    if inst.rd is None or inst.a is None or inst.b is None:
+        return False
+    if op is Opcode.CMPXCHG and inst.c is None:
+        return False
+    return lat_l1 + lat_atomic >= 1
+
+
+def _gen_atomic_micro_source(insts: List[Instruction], i: int, lat_l1: int,
+                             lat_atomic: int, use_jitter: bool) -> str:
+    """Inline micro function for an L1-hit CMPXCHG / XADD at ``i``.
+
+    Mirrors ``Core._exec_cmpxchg`` / ``_exec_xadd`` with no SSB attached
+    and the base machine's ``fence_extra`` (both drain terms are 0):
+
+    * a failed CMPXCHG is a read hit on any resident state — ``rd =
+      old`` for ``l1_hit + atomic_extra``;
+    * a successful CMPXCHG, or any XADD, is a read hit plus a write hit
+      and needs the line in M or E (E upgrades to M) — ``2 * l1_hit +
+      atomic_extra``.
+
+    Both stamp ``directory.now = t`` as ``mem_read`` / ``mem_write`` do
+    and report the deferred ``_CLS_ATOMIC`` class.  A write hit needs
+    the line in M or E, so no other core holds it and an inline atomic,
+    like an inline store, cannot change another core's spin loop.  An
+    SSB, an ``on_memory_op`` hook, a straddle, a non-resident line or a
+    successful compare on a Shared line hands off to the exact
+    ``core.step()`` tail before any state is touched.
+    """
+    inst = insts[i]
+    op = inst.op
+    size = inst.size
+    size_mask = (1 << (8 * size)) - 1
+    lines = ["def _m(regs, t, gb, core, dl, pages):"]
+    emit = lines.append
+
+    def tail(lat: int, ind: str) -> None:
+        tag = (_CLS_ATOMIC << _MICRO_PC_BITS) | (i + 1)
+        if use_jitter:
+            emit(ind + "r = gb(2)")
+            emit(ind + "while r >= 2: r = gb(2)")
+            emit(ind + "return ((t + %d + r) << 25) | (r << 24) | %d"
+                 % (lat, tag))
+        else:
+            emit(ind + "return ((t + %d) << 25) | %d" % (lat, tag))
+
+    def write(value: str, ind: str) -> None:
+        """E->M upgrade, page materialization, then the write."""
+        emit(ind + "if _w is not _M: _s[core.core_id] = _M")
+        emit(ind + "if _pg is None:")
+        emit(ind + "    _pg = bytearray(4096)")
+        emit(ind + "    pages[a0 >> 12] = _pg")
+        emit(ind + "_pg[o:o + %d] = (%s).to_bytes(%d, 'little')"
+             % (size, value, size))
+
+    emit("    m = core.machine")
+    emit("    if core.ssb is None and m.on_memory_op is None:")
+    ind = "        "
+    emit(ind + "a0 = %s" % _addr_expr(inst))
+    if size > 1:
+        emit(ind + "if (a0 & 63) <= %d:" % (64 - size))
+        ind += "    "
+    emit(ind + "_s = dl.get(a0 >> 6)")
+    emit(ind + "_w = _s.get(core.core_id) if _s is not None else None")
+    emit(ind + "if _w is not None:")
+    ind += "    "
+    emit(ind + "_pg = pages.get(a0 >> 12)")
+    emit(ind + "o = a0 & 4095")
+    emit(ind + "old = 0 if _pg is None else fb(_pg[o:o + %d], 'little')"
+         % size)
+    if op is Opcode.CMPXCHG:
+        emit(ind + "if old != %s:" % _val_expr(inst.b))
+        emit(ind + "    m.directory.now = t")
+        emit(ind + "    regs[%d] = old" % inst.rd)
+        tail(lat_l1 + lat_atomic, ind + "    ")
+        new = "%s & %d" % (_val_expr(inst.c), size_mask)
+    else:
+        new = "(old + %s) & %d" % (_val_expr(inst.b), size_mask)
+    emit(ind + "if _w is _M or _w is _E:")
+    ind += "    "
+    write(new, ind)
+    emit(ind + "m.directory.now = t")
+    emit(ind + "regs[%d] = old" % inst.rd)
+    tail(2 * lat_l1 + lat_atomic, ind)
+    _emit_step_tail(emit, i, use_jitter, "    ")
+    return "\n".join(lines)
+
+
 def _gen_micro_source(insts: List[Instruction], i: int, lat_alu: int,
                       lat_l1: int, lat_pause: int, tax: int,
                       use_jitter: bool) -> str:
@@ -693,6 +807,234 @@ def _gen_micro_source(insts: List[Instruction], i: int, lat_alu: int,
     return "\n".join(lines)
 
 
+#: Ops a spin loop may contain: register moves and ALU ops, branches,
+#: PAUSE / NOP, and memory reads through LOAD or CMPXCHG.  DIV (may
+#: raise), fences and every store or SSB op disqualify a loop.
+_SPIN_OPS = (frozenset({Opcode.MOV, Opcode.SHL, Opcode.SHR, Opcode.JMP,
+                        Opcode.PAUSE, Opcode.NOP, Opcode.LOAD,
+                        Opcode.CMPXCHG})
+             | frozenset(_ALU_BINOPS) | frozenset(_BRANCH_CMPS))
+
+
+def _spin_inst_ok(inst: Instruction) -> bool:
+    """Is ``inst`` well formed for a spin loop, and does it never read
+    the register it writes (which excludes counters and pointer
+    chases: such a write can never rewrite the value already held)?"""
+    op = inst.op
+    if op is Opcode.JMP:
+        return isinstance(inst.target, int)
+    if op in _BRANCH_CMPS:
+        return (inst.a is not None and inst.b is not None
+                and isinstance(inst.target, int))
+    if op is Opcode.PAUSE or op is Opcode.NOP:
+        return True
+    if inst.rd is None or inst.a is None:
+        return False
+    if op is Opcode.LOAD or op is Opcode.CMPXCHG:
+        if not isinstance(inst.size, int) or not 1 <= inst.size <= 8:
+            return False
+        if op is Opcode.CMPXCHG and (inst.b is None or inst.c is None):
+            return False
+    elif op is not Opcode.MOV and inst.b is None:
+        return False
+    return all(o is None or not o.is_reg or o.value != inst.rd
+               for o in (inst.a, inst.b, inst.c))
+
+
+def _gen_park_source(insts: List[Instruction], head: int, end: int) -> str:
+    """Generate the parking proof of the loop ``insts[head..end]``.
+
+    Signature ``_p(regs, cid, dl, pages) -> bool``: true iff one
+    iteration from the current state is a no-op — every register write
+    rewrites the value already held, every read is a resident,
+    non-straddling L1 hit, every CMPXCHG compares unequal, every exit
+    branch falls through and the back edge is taken.  All writes being
+    no-ops, the register file is the same at every instruction, so each
+    one is checked against the current registers in any order.
+    """
+    lines = ["def _p(regs, cid, dl, pages):"]
+    emit = lines.append
+    ind = "    "
+    for k in range(head, end + 1):
+        inst = insts[k]
+        op = inst.op
+        if op is Opcode.LOAD or op is Opcode.CMPXCHG:
+            emit(ind + "a0 = %s" % _addr_expr(inst))
+            if inst.size > 1:
+                emit(ind + "if (a0 & 63) > %d: return False"
+                     % (64 - inst.size))
+            emit(ind + "_s = dl.get(a0 >> 6)")
+            emit(ind + "if _s is None or cid not in _s: return False")
+            emit(ind + "_pg = pages.get(a0 >> 12)")
+            emit(ind + "o = a0 & 4095")
+            emit(ind + "v = 0 if _pg is None else fb(_pg[o:o + %d], 'little')"
+                 % inst.size)
+            if op is Opcode.CMPXCHG:
+                emit(ind + "if v == %s: return False" % _val_expr(inst.b))
+            emit(ind + "if regs[%d] != v: return False" % inst.rd)
+        elif op is Opcode.MOV:
+            emit(ind + "if regs[%d] != %s & %d: return False"
+                 % (inst.rd, _val_expr(inst.a), _WORD_MASK))
+        elif op in _ALU_BINOPS:
+            emit(ind + "if regs[%d] != (%s %s %s) & %d: return False"
+                 % (inst.rd, _val_expr(inst.a), _ALU_BINOPS[op],
+                    _val_expr(inst.b), _WORD_MASK))
+        elif op is Opcode.SHL or op is Opcode.SHR:
+            shift = "<<" if op is Opcode.SHL else ">>"
+            if inst.b.is_reg:
+                count = "(regs[%d] & 63)" % inst.b.value
+            else:
+                count = "%d" % (inst.b.value & 63)
+            emit(ind + "if regs[%d] != (%s %s %s) & %d: return False"
+                 % (inst.rd, _val_expr(inst.a), shift, count, _WORD_MASK))
+        elif op in _BRANCH_CMPS:
+            cond = "%s %s %s" % (_val_expr(inst.a), _BRANCH_CMPS[op],
+                                 _val_expr(inst.b))
+            if k == end:
+                emit(ind + "if not (%s): return False" % cond)
+            else:
+                emit(ind + "if %s: return False" % cond)
+    emit(ind + "return True")
+    return "\n".join(lines)
+
+
+class SpinLoop:
+    """A straight-line back-edge loop ``insts[head..head+len-1]`` in
+    which a core may *park* (see ``_gen_park_source``).
+
+    A parked core's every later iteration is identical until memory or
+    coherence state changes, so the lock-step kernel
+    (``run_spin_kernel``) advances it from per-position tables alone:
+    ``steps[k]`` is ``(latency, reads_memory, k + 1 mod len)`` of body
+    position ``k``, and the prefix sums over the body laid out twice
+    fold any run of executed positions into the deferred CoreStats
+    counters.
+    """
+
+    __slots__ = ("head", "prove", "steps", "_sums")
+
+    def __init__(self, insts: List[Instruction], head: int, end: int,
+                 lats: List[int]):
+        self.head = head
+        body = insts[head:end + 1]
+        self.prove = _cached(
+            ("park", tuple(_inst_sig(inst) for inst in body)),
+            lambda: _gen_park_source(insts, head, end), "park")
+        self.steps = [
+            (lat, inst.op is Opcode.LOAD or inst.op is Opcode.CMPXCHG,
+             (k + 1) % len(body))
+            for k, (lat, inst) in enumerate(zip(lats, body))
+        ]
+        # Prefix sums of (busy, loads, atomics, pauses) over body * 2.
+        sums = [(0, 0, 0, 0)]
+        for lat, inst in zip(lats * 2, body * 2):
+            b, ld, at, pa = sums[-1]
+            sums.append((b + lat, ld + (inst.op is Opcode.LOAD),
+                         at + (inst.op is Opcode.CMPXCHG),
+                         pa + (inst.op is Opcode.PAUSE)))
+        self._sums = sums
+
+    def counts(self, start: int, n: int):
+        """``(busy_cycles, loads, atomics, pauses)`` of ``n`` instructions
+        executed from body position ``start``."""
+        full, rem = divmod(n, len(self.steps))
+        sums = self._sums
+        whole, lo, hi = sums[len(self.steps)], sums[start], sums[start + rem]
+        return tuple(full * w + h - low for w, low, h in zip(whole, lo, hi))
+
+
+def _spin_latency(inst: Instruction, latency) -> int:
+    """Latency of a spin-loop instruction on a parked (no SSB) core."""
+    if inst.op is Opcode.LOAD:
+        return latency.l1_hit
+    if inst.op is Opcode.CMPXCHG:
+        # A failed compare: a read hit plus the locked-op extra.
+        return latency.l1_hit + latency.atomic_extra
+    if inst.op is Opcode.PAUSE:
+        return latency.pause
+    return latency.alu
+
+
+def _find_spin_loops(insts: List[Instruction], latency) -> list:
+    """Per-index table of the ``SpinLoop`` containing each instruction.
+
+    A candidate is a back edge at ``end`` (JMP or conditional branch to
+    ``head <= end``) over at most ``BLOCK_CAP`` instructions such that:
+    every instruction is in ``_SPIN_OPS`` and passes ``_spin_inst_ok``;
+    only the back edge is a JMP or targets the body; at least one
+    instruction reads memory; and every latency is at least one cycle
+    (so the kernel's advance ``max(1, lat + r)`` is just ``lat + r``).
+    Overlapping candidates keep the first found, so each index belongs
+    to at most one loop.
+    """
+    table: list = [None] * len(insts)
+    for end, inst in enumerate(insts):
+        if inst.op is not Opcode.JMP and inst.op not in _BRANCH_CMPS:
+            continue
+        head = inst.target
+        if not isinstance(head, int) or not 0 <= head <= end:
+            continue
+        if end - head >= BLOCK_CAP:
+            continue
+        body = range(head, end + 1)
+        if any(table[k] is not None for k in body):
+            continue
+        reads = False
+        for k in body:
+            other = insts[k]
+            if other.op not in _SPIN_OPS or not _spin_inst_ok(other):
+                break
+            if k != end and (other.op is Opcode.JMP
+                             or (other.op in _BRANCH_CMPS
+                                 and head <= other.target <= end)):
+                break
+            reads = reads or other.op in (Opcode.LOAD, Opcode.CMPXCHG)
+        else:
+            lats = [_spin_latency(insts[k], latency) for k in body]
+            if reads and min(lats) >= 1:
+                loop = SpinLoop(insts, head, end, lats)
+                for k in body:
+                    table[k] = loop
+    return table
+
+
+def run_spin_kernel(heap: List[int], steps: list, pos: List[int],
+                    ninst: List[int], stop: int, gb, shift: int,
+                    use_jitter: bool) -> int:
+    """Advance parked cores one instruction at a time in exact ``(time,
+    core_id)`` order until the next entry is ``>= stop``.
+
+    ``heap`` holds the parked cores' encoded ready entries ``(time <<
+    shift) | core_id`` (a heapq); ``steps[cid]`` is the core's
+    ``SpinLoop.steps``, ``pos[cid]`` its body position (advanced in
+    place) and ``ninst[cid]`` counts its executed instructions.  Each
+    instruction draws the interleave jitter exactly as the event loop
+    does (``gb(2)`` with rejection) and advances ``max(1, lat + r)``,
+    which is ``lat + r`` since spin-loop latencies are >= 1.  ``stop``
+    is the smaller of the first unparked core's entry and the first
+    entry past the slice limit.  Returns the encoded entry of the last
+    memory read (``-1`` if none), whose time becomes ``directory.now``.
+    """
+    mask = (1 << shift) - 1
+    replace = heapq.heapreplace
+    last_read = -1
+    while True:
+        e = heap[0]
+        if e >= stop:
+            return last_read
+        cid = e & mask
+        lat, reads, pos[cid] = steps[cid][pos[cid]]
+        if reads:
+            last_read = e
+        ninst[cid] += 1
+        if use_jitter:
+            r = gb(2)
+            while r >= 2:
+                r = gb(2)
+            lat += r
+        replace(heap, e + (lat << shift))
+
+
 def _exec_namespace() -> dict:
     return {
         "_M": LineState.MODIFIED,
@@ -701,13 +1043,17 @@ def _exec_namespace() -> dict:
     }
 
 
+#: Name of the function each generator kind defines.
+_ENTRY_NAMES = {"block": "_f", "micro": "_m", "park": "_p"}
+
+
 def _cached(key, gen_source, name: str):
     """The compiled function for ``key``, generating it on a miss."""
     fn = _BLOCK_CACHE.get(key)
     if fn is None:
         namespace = _exec_namespace()
         exec(compile(gen_source(), "<trace-%s>" % name, "exec"), namespace)
-        fn = namespace["_f" if name == "block" else "_m"]
+        fn = namespace[_ENTRY_NAMES[name]]
         if len(_BLOCK_CACHE) >= _CACHE_MAX:
             _BLOCK_CACHE.clear()
         _BLOCK_CACHE[key] = fn
@@ -741,9 +1087,9 @@ class CompiledTrace:
     the common case in parallel phases, not the exception.
     """
 
-    __slots__ = ("insts", "table", "micro", "leaders", "_lat_alu",
-                 "_lat_l1", "_lat_pause", "_ssb_lats", "_tax",
-                 "_use_jitter", "_fast_mem")
+    __slots__ = ("insts", "table", "micro", "leaders", "spin", "_lat_alu",
+                 "_lat_l1", "_lat_pause", "_ssb_lats", "_atomic_lats",
+                 "_tax", "_use_jitter", "_fast_mem")
 
     def __init__(self, insts: List[Instruction], latency, taxed: bool,
                  use_jitter: bool, fast_mem: bool):
@@ -764,9 +1110,17 @@ class CompiledTrace:
         #: key, so latency models never share a function wrongly).
         self._ssb_lats = (latency.alu, latency.ssb_store, latency.ssb_load,
                           latency.alias_check, latency.pin_tax)
+        self._atomic_lats = (latency.l1_hit, latency.atomic_extra)
         self._tax = latency.pin_tax if taxed else 0
         self._use_jitter = use_jitter
         self._fast_mem = fast_mem
+        #: Static spin table (``_find_spin_loops``) for the lock-step
+        #: kernel, which only parks cores with no SSB attached, i.e.
+        #: running the untaxed trace.
+        if fast_mem and not taxed:
+            self.spin = _find_spin_loops(insts, latency)
+        else:
+            self.spin = [None] * len(insts)
         # Basic-block leaders: the only entries worth a block function.
         # Compiling a block per *arbitrary* entry means every mid-block
         # re-entry (interleave, bail resume, slice pause) compiles its
@@ -808,8 +1162,8 @@ class CompiledTrace:
 
         Every instruction gets a micro function except HALT (the
         scheduler's legacy pop handles the ready-queue removal): inline
-        ops and the SSB pseudo-ops compile to fast bodies, everything
-        else to an exact ``core.step()`` call — so micro chains flow
+        ops, the SSB pseudo-ops and L1-hit atomics compile to fast
+        bodies, everything else to an exact ``core.step()`` call — so micro chains flow
         through slow instructions without returning to the scheduler.
         """
         inst = self.insts[i]
@@ -822,6 +1176,14 @@ class CompiledTrace:
                    _inst_sig(inst))
             fn = _cached(key, lambda: _gen_ssb_micro_source(
                 self.insts, i, *self._ssb_lats, self._use_jitter,
+            ), "micro")
+        elif self._fast_mem and _atomic_micro_ok(inst, *self._atomic_lats):
+            # Independent of the tax variant: the body hands off to the
+            # interpreter whenever an SSB is attached.
+            key = ("matom", i, self._use_jitter, self._atomic_lats,
+                   _inst_sig(inst))
+            fn = _cached(key, lambda: _gen_atomic_micro_source(
+                self.insts, i, *self._atomic_lats, self._use_jitter,
             ), "micro")
         elif _includable(inst, self._fast_mem):
             key = ("m", i, self._tax, self._use_jitter, self._lat_alu,
